@@ -138,7 +138,7 @@ let prune_arg =
                  $(b,sample:N) validates every N-th image (blind \
                  statistical fallback). Default: exhaustive, except \
                  $(b,--stream) runs of 100k+ operations, which default to \
-                 sampling (\\u{00A7}7.5) scaled to the op count.")
+                 sampling (\u{00A7}7.5) scaled to the op count.")
 
 (* Streaming-pipeline knobs (DESIGN \u{00A7}9). Run-only, like the other
    A/B switches: campaign job keys stay a pure function of the matrix

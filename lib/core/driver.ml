@@ -67,10 +67,12 @@ let record ?(ckpt_stride = 0) ?(boxed = false) ?events_hint
     final_image = Pmem.snapshot pmem; checkpoints = List.rev !checkpoints }
 
 (* Uninstrumented execution of an arbitrary op list; used for rolled-back
-   oracles. Must be deterministic w.r.t. [record] modulo the removed op. *)
+   oracles. Must be deterministic w.r.t. [record] modulo the removed op.
+   The pool is an O(1) zeroed COW view: it reads exactly like a fresh
+   [Pmem.create] pool and costs only the lines the run writes. *)
 let run_quiet (module S : Store_intf.S) ops =
   Obs.Metrics.incr "driver.quiet_runs";
-  let pmem = Pmem.create S.pool_size in
+  let pmem = Pmem.zeroed S.pool_size in
   let ctx = Ctx.create ~mode:Quiet pmem in
   let store = S.create ctx in
   Array.of_list (List.map (S.exec store) ops)
@@ -123,7 +125,9 @@ let describe_failure = function
    further; those backfilled outputs still stream through [on_output].
 
    Returns the number of operations the replay actually attempted to
-   execute (the crashing op counts: its work was done).
+   execute (the crashing op counts: its work was done). The accesses the
+   replay burned go to the [driver.replay_accesses] counter, and a replay
+   that runs out of [fuel] counts in [driver.fuel_exhausted].
 
    [?read_track] logs the word range of every NVM read into the given
    set. The fence-batched checker uses it to prove two same-fence images
@@ -138,6 +142,16 @@ let resume_stream ?read_track (module S : Store_intf.S) ~image ~ops ~from_op
   Obs.Metrics.incr "driver.resumes";
   let ctx = Ctx.create ~mode:Quiet ~fuel image in
   Ctx.set_read_track ctx read_track;
+  (* fuel burned by contexts already retired (the corrupt-pool fallback
+     replaces the first one) *)
+  let burned = ref 0 in
+  let live = ref ctx in
+  let failure e =
+    (match e with
+     | Ctx.Fuel_exhausted -> Obs.Metrics.incr "driver.fuel_exhausted"
+     | _ -> ());
+    describe_failure e
+  in
   let fail_from i msg =
     let out = Output.Crashed msg in
     let rec go i =
@@ -153,12 +167,13 @@ let resume_stream ?read_track (module S : Store_intf.S) ~image ~ops ~from_op
          durable. A real deployment re-creates the pool file, which is the
          rolled-back behaviour for the creation op. *)
       (try
-         let fresh = Pmem.create S.pool_size in
-         let ctx' = Ctx.create ~mode:Quiet ~fuel fresh in
+         let ctx' = Ctx.create ~mode:Quiet ~fuel (Pmem.zeroed S.pool_size) in
          Ctx.set_read_track ctx' read_track;
+         burned := fuel - Ctx.fuel ctx;
+         live := ctx';
          `Store (S.create ctx')
-       with e -> `Err (describe_failure e))
-    | e -> `Err (describe_failure e)
+       with e -> `Err (failure e))
+    | e -> `Err (failure e)
   in
   (match opened with
    | `Err msg -> fail_from 0 msg
@@ -169,10 +184,12 @@ let resume_stream ?read_track (module S : Store_intf.S) ~image ~ops ~from_op
          match S.exec store ops.(from_op + i) with
          | out ->
            (match on_output i out with `Stop -> () | `Continue -> go (i + 1))
-         | exception e -> fail_from i (describe_failure e)
+         | exception e -> fail_from i (failure e)
        end
      in
      go 0);
+  Obs.Metrics.incr ~n:(!burned + fuel - Ctx.fuel !live)
+    "driver.replay_accesses";
   !executed
 
 (* Full replay into an array: [resume_stream] with no early abort.

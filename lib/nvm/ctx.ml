@@ -2,7 +2,9 @@
    NVM access through this module; in [Record] mode each access appends a
    trace event carrying the data/control dependencies Witcher's inference
    needs (§4.1-4.2). In [Quiet] mode (oracle runs, crash-image resumption)
-   accesses hit the pool directly with no tracing and no taint.
+   accesses hit the pool directly with no tracing and no taint, and every
+   quiet context shares one empty trace instead of allocating an arena it
+   would never write.
 
    Stores are split at cache-line boundaries so that every Store event
    lives on exactly one line; the crash simulator and image builder rely
@@ -25,7 +27,7 @@ type mode = Record | Quiet
 type t = {
   pmem : Pmem.t;
   mode : mode;
-  trace : Trace.t;             (* empty and unused in Quiet mode *)
+  trace : Trace.t;             (* [quiet_trace] in Quiet mode *)
   taints : bool;               (* false: record events, skip taint tracking *)
   mutable cd_stack : Taint.t list;
   mutable op_cd : Taint.t;     (* pointer-chase guards, cleared per op *)
@@ -44,12 +46,15 @@ type t = {
    guard bookkeeping: the streaming validation pass re-executes the
    deterministic workload only to regenerate event positions and store
    payloads, and never reads dependence edges, so it skips their cost. *)
+let quiet_trace = Trace.create ~boxed:true ()
+
 let create ?(boxed = false) ?(fuel = 100_000_000) ?trace ?events_hint
     ?(taintless = false) ~mode pmem =
   let trace =
-    match trace with
-    | Some tr -> tr
-    | None -> Trace.create ~boxed ?events_hint ()
+    match trace, mode with
+    | Some tr, _ -> tr
+    | None, Quiet -> quiet_trace
+    | None, Record -> Trace.create ~boxed ?events_hint ()
   in
   { pmem; mode; trace; taints = not taintless; cd_stack = [];
     op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; tx_counter = 0;
@@ -64,6 +69,7 @@ let pmem t = t.pmem
 let trace t = t.trace
 let mode t = t.mode
 let current_op t = t.op
+let fuel t = t.fuel
 
 let burn t =
   t.fuel <- t.fuel - 1;

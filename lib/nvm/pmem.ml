@@ -3,14 +3,23 @@
    here it is either a flat [Bytes.t] or a copy-on-write view: a
    read-only base image plus a cache-line-granular overlay.
 
-   Flat pools back live executions (record / oracle runs). COW pools back
-   crash images: [cow] is O(1) instead of an O(pool_size) copy, reads
-   fall through to the base, and the first write to a line copies just
-   that 64-byte line into the overlay — so a 4-16 MB pool snapshot costs
-   only the dirty lines the resumed execution actually touches. The base
-   MUST stay unmodified while the overlay is alive; [Crash_sim] guarantees
-   this by checking each image before feeding the next trace event, and
-   [copy] detaches an image into an independent flat pool.
+   Flat pools back recording runs. COW pools back crash images,
+   checkpoint resumes and quiet oracle runs: [cow] is O(1) instead of an
+   O(pool_size) copy, reads fall through to the base, and the first write
+   to a line copies just that 64-byte line into the overlay — so a 4-16 MB
+   pool costs only the dirty lines the execution actually touches. A
+   fresh pool for a quiet run is [zeroed], a view over one shared,
+   never-written zero buffer per size. The base MUST stay unmodified
+   while the overlay is alive; [Crash_sim] guarantees this by checking
+   each image before feeding the next trace event, and [copy] detaches an
+   image into an independent flat pool.
+
+   A COW view serves accesses through a small direct-mapped line cache:
+   slot [line land 63] remembers which buffer holds that line (its
+   private overlay copy, or the base while the line is clean), so a hit
+   reads or writes without hashing or allocating. The overlay [Hashtbl]
+   stays the source of truth for [digest], [flatten], [overlay_lines] and
+   [cow_bytes]; the cache only mirrors it.
 
    Out-of-bounds accesses raise [Fault], the simulated segmentation fault:
    resuming from a corrupted crash image may follow garbage pointers, and
@@ -21,13 +30,16 @@ exception Fault of { addr : int; len : int }
 let line_size = 64
 let line_of_addr addr = addr lsr 6
 
+let cache_slots = 64
+let cache_mask = cache_slots - 1
+
 type cow = {
   base : Bytes.t;                      (* read-only while overlay lives *)
   overlay : (int, Bytes.t) Hashtbl.t;  (* line -> private line copy *)
-  (* one-line lookup cache: replayed ops have strong line locality *)
-  mutable cl : int;                    (* cached line, -1 = invalid *)
-  mutable cb : Bytes.t;                (* buffer holding that line *)
-  mutable co : int;                    (* addr - co indexes into cb *)
+  (* direct-mapped line cache, indexed by [line land cache_mask] *)
+  tags : int array;                    (* cached line, -1 = empty slot *)
+  bufs : Bytes.t array;                (* buffer holding that line *)
+  offs : int array;                    (* addr - offs indexes into bufs *)
   mutable cow_bytes : int;             (* bytes copied into the overlay *)
 }
 
@@ -52,35 +64,47 @@ let check t addr len =
 
 (* ---------- COW internals ---------- *)
 
-(* Buffer + offset for reading [addr .. addr+len) when it fits one line. *)
-let cow_ro c addr =
-  let line = addr lsr 6 in
-  if c.cl = line then (c.cb, c.co)
-  else
-    match Hashtbl.find_opt c.overlay line with
-    | Some b ->
-      let co = line lsl 6 in
-      c.cl <- line; c.cb <- b; c.co <- co;
-      (b, co)
-    | None ->
-      c.cl <- line; c.cb <- c.base; c.co <- 0;
-      (c.base, 0)
+(* Cache slot serving reads of [line]; a miss refills it from the
+   overlay, or from the base when the line is clean. *)
+let cow_ro c line =
+  let s = line land cache_mask in
+  if c.tags.(s) <> line then begin
+    (match Hashtbl.find_opt c.overlay line with
+     | Some b -> c.bufs.(s) <- b; c.offs.(s) <- line lsl 6
+     | None -> c.bufs.(s) <- c.base; c.offs.(s) <- 0);
+    c.tags.(s) <- line
+  end;
+  s
 
-(* Private (writable) copy of [line], created on first write. Re-points
-   the read cache at the new copy so a stale base-resident entry for this
-   line can never be read back. *)
+(* Copy [line] out of the base into the overlay. *)
+let cow_copy_line c size line =
+  let start = line lsl 6 in
+  let len = min line_size (size - start) in
+  let b = Bytes.create len in
+  Bytes.blit c.base start b 0 len;
+  Hashtbl.add c.overlay line b;
+  c.cow_bytes <- c.cow_bytes + len;
+  b
+
+(* Cache slot holding a private (writable) copy of [line], created on
+   first write; index it with [addr land (line_size - 1)]. A line only
+   ever lives in its own slot and every copy re-points that slot, so a
+   hit on a base-resident entry proves the overlay has no copy yet: only
+   a miss consults the overlay. *)
 let cow_rw c size line =
-  match Hashtbl.find_opt c.overlay line with
-  | Some b -> b
-  | None ->
-    let start = line lsl 6 in
-    let len = min line_size (size - start) in
-    let b = Bytes.create len in
-    Bytes.blit c.base start b 0 len;
-    Hashtbl.add c.overlay line b;
-    c.cow_bytes <- c.cow_bytes + len;
-    c.cl <- line; c.cb <- b; c.co <- start;
-    b
+  let s = line land cache_mask in
+  if c.tags.(s) <> line then begin
+    let b =
+      match Hashtbl.find_opt c.overlay line with
+      | Some b -> b
+      | None -> cow_copy_line c size line
+    in
+    c.tags.(s) <- line; c.bufs.(s) <- b; c.offs.(s) <- line lsl 6
+  end
+  else if c.bufs.(s) == c.base then begin
+    c.bufs.(s) <- cow_copy_line c size line; c.offs.(s) <- line lsl 6
+  end;
+  s
 
 let cow_write c size addr s off len =
   let rec go addr off remaining =
@@ -88,26 +112,26 @@ let cow_write c size addr s off len =
       let line = addr lsr 6 in
       let line_end = (line + 1) * line_size in
       let chunk = min remaining (line_end - addr) in
-      let b = cow_rw c size line in
-      Bytes.blit_string s off b (addr - (line lsl 6)) chunk;
+      let slot = cow_rw c size line in
+      Bytes.blit_string s off c.bufs.(slot) (addr land (line_size - 1)) chunk;
       go (addr + chunk) (off + chunk) (remaining - chunk)
     end
   in
   go addr off len
 
-let cow_read c addr len =
-  let out = Bytes.create len in
+(* Read [addr .. addr+len) into [out] at [off], line by line. *)
+let cow_read_into c addr out off len =
   let rec go addr off remaining =
     if remaining > 0 then begin
-      let line_end = ((addr lsr 6) + 1) * line_size in
+      let line = addr lsr 6 in
+      let line_end = (line + 1) * line_size in
       let chunk = min remaining (line_end - addr) in
-      let buf, base_off = cow_ro c addr in
-      Bytes.blit buf (addr - base_off) out off chunk;
+      let slot = cow_ro c line in
+      Bytes.blit c.bufs.(slot) (addr - c.offs.(slot)) out off chunk;
       go (addr + chunk) (off + chunk) (remaining - chunk)
     end
   in
-  go addr 0 len;
-  Bytes.unsafe_to_string out
+  go addr off len
 
 (* ---------- accesses ---------- *)
 
@@ -117,11 +141,13 @@ let read_u64 t addr =
   | Flat buf -> Int64.to_int (Bytes.get_int64_le buf addr)
   | Cow c ->
     if addr land (line_size - 1) <= line_size - 8 then
-      let buf, off = cow_ro c addr in
-      Int64.to_int (Bytes.get_int64_le buf (addr - off))
-    else
-      Int64.to_int
-        (Bytes.get_int64_le (Bytes.of_string (cow_read c addr 8)) 0)
+      let s = cow_ro c (addr lsr 6) in
+      Int64.to_int (Bytes.get_int64_le c.bufs.(s) (addr - c.offs.(s)))
+    else begin
+      let tmp = Bytes.create 8 in
+      cow_read_into c addr tmp 0 8;
+      Int64.to_int (Bytes.get_int64_le tmp 0)
+    end
 
 let write_u64 t addr v =
   check t addr 8;
@@ -129,8 +155,8 @@ let write_u64 t addr v =
   | Flat buf -> Bytes.set_int64_le buf addr (Int64.of_int v)
   | Cow c ->
     if addr land (line_size - 1) <= line_size - 8 then begin
-      let b = cow_rw c t.size (addr lsr 6) in
-      Bytes.set_int64_le b (addr land (line_size - 1)) (Int64.of_int v)
+      let s = cow_rw c t.size (addr lsr 6) in
+      Bytes.set_int64_le c.bufs.(s) (addr land (line_size - 1)) (Int64.of_int v)
     end
     else begin
       let tmp = Bytes.create 8 in
@@ -143,22 +169,25 @@ let read_u8 t addr =
   match t.repr with
   | Flat buf -> Char.code (Bytes.get buf addr)
   | Cow c ->
-    let buf, off = cow_ro c addr in
-    Char.code (Bytes.get buf (addr - off))
+    let s = cow_ro c (addr lsr 6) in
+    Char.code (Bytes.get c.bufs.(s) (addr - c.offs.(s)))
 
 let write_u8 t addr v =
   check t addr 1;
   match t.repr with
   | Flat buf -> Bytes.set buf addr (Char.chr (v land 0xff))
   | Cow c ->
-    let b = cow_rw c t.size (addr lsr 6) in
-    Bytes.set b (addr land (line_size - 1)) (Char.chr (v land 0xff))
+    let s = cow_rw c t.size (addr lsr 6) in
+    Bytes.set c.bufs.(s) (addr land (line_size - 1)) (Char.chr (v land 0xff))
 
 let read_bytes t addr len =
   check t addr len;
   match t.repr with
   | Flat buf -> Bytes.sub_string buf addr len
-  | Cow c -> cow_read c addr len
+  | Cow c ->
+    let out = Bytes.create len in
+    cow_read_into c addr out 0 len;
+    Bytes.unsafe_to_string out
 
 let write_bytes t addr s =
   let len = String.length s in
@@ -201,16 +230,39 @@ let of_snapshot s =
    from its base. *)
 let copy t = { repr = Flat (flatten t); size = t.size }
 
+let cow_of_bytes base =
+  { repr =
+      Cow { base; overlay = Hashtbl.create 32;
+            tags = Array.make cache_slots (-1);
+            bufs = Array.make cache_slots Bytes.empty;
+            offs = Array.make cache_slots 0; cow_bytes = 0 };
+    size = Bytes.length base }
+
 (* O(1) copy-on-write view of [t]. [t]'s bytes MUST NOT change while the
    view is in use (writes to the view never touch [t]). *)
 let rec cow t =
   match t.repr with
-  | Flat buf ->
-    { repr =
-        Cow { base = buf; overlay = Hashtbl.create 32;
-              cl = -1; cb = Bytes.empty; co = 0; cow_bytes = 0 };
-      size = t.size }
+  | Flat buf -> cow_of_bytes buf
   | Cow _ -> cow (copy t)
+
+(* One all-zero buffer per pool size, shared by every [zeroed] view and
+   never written: views only ever write their own overlay. *)
+let zero_bases : (int, Bytes.t) Hashtbl.t = Hashtbl.create 4
+
+(* A fresh pool that reads exactly like [create size], in O(1): a COW view
+   over the shared zero buffer of that size, instead of zero-filling a
+   new 2-16 MB pool per quiet run. *)
+let zeroed size =
+  if size <= 0 then invalid_arg "Pmem.zeroed";
+  let base =
+    match Hashtbl.find_opt zero_bases size with
+    | Some b -> b
+    | None ->
+      let b = Bytes.make size '\000' in
+      Hashtbl.add zero_bases size b;
+      b
+  in
+  cow_of_bytes base
 
 let is_cow t = match t.repr with Cow _ -> true | Flat _ -> false
 

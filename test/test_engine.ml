@@ -87,6 +87,38 @@ let test_rolled_back_oracle () =
   Alcotest.(check string) "query 1 rolled back" "notfound"
     (W.Output.to_string rb.(0))
 
+(* Replay counters: a resume adds the accesses it burned to
+   [driver.replay_accesses] once, and one that runs dry counts in
+   [driver.fuel_exhausted]. *)
+let test_replay_counters () =
+  let e = Option.get (R.find "level-hash") in
+  let module S = (val e.fixed ()) in
+  let ops = [ W.Op.Insert (1, "aaa"); W.Op.Query 1; W.Op.Query 2 ] in
+  let r = W.Driver.record (module S) ops in
+  let image () = Nvm.Pmem.of_snapshot r.final_image in
+  let counter name =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot Obs.Metrics.default) name
+  in
+  Obs.Metrics.reset Obs.Metrics.default;
+  let out =
+    W.Driver.resume (module S) ~image:(image ()) ~ops:r.ops ~from_op:1
+      ~fuel:1_000_000
+  in
+  Alcotest.(check string) "replay ok" "found:aaa" (W.Output.to_string out.(0));
+  let burned = counter "driver.replay_accesses" in
+  Alcotest.(check bool) "accesses counted" true (burned > 0);
+  Alcotest.(check int) "no livelock" 0 (counter "driver.fuel_exhausted");
+  let out =
+    W.Driver.resume (module S) ~image:(image ()) ~ops:r.ops ~from_op:1
+      ~fuel:5
+  in
+  Alcotest.(check string) "runs dry" "CRASHED:livelock"
+    (W.Output.to_string out.(0));
+  Alcotest.(check int) "whole fuel counted" (burned + 5)
+    (counter "driver.replay_accesses");
+  Alcotest.(check int) "livelock counted" 1 (counter "driver.fuel_exhausted");
+  Alcotest.(check int) "two resumes" 2 (counter "driver.resumes")
+
 (* Workload generation: deterministic, biased toward used keys. *)
 let test_workload_determinism () =
   let a = W.Workload.generate W.Workload.default in
@@ -557,6 +589,7 @@ let suite =
       Alcotest.test_case "memcached stats P-U" `Slow test_memcached_stats_p_u;
       Alcotest.test_case "hashmap-tx UAF" `Slow test_uaf_detected;
       Alcotest.test_case "rolled-back oracle" `Quick test_rolled_back_oracle;
+      Alcotest.test_case "replay counters" `Quick test_replay_counters;
       Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
       Alcotest.test_case "workload key bias" `Quick test_workload_bias;
       Alcotest.test_case "output equality" `Quick test_output_equal;

@@ -91,50 +91,118 @@ let test_pmem_cow () =
    | _ -> Alcotest.fail "expected fault"
    | exception Pmem.Fault _ -> ())
 
-(* qcheck: a COW view and a flat copy are indistinguishable under any
-   sequence of in-bounds writes and reads, and the base never changes. *)
+(* qcheck: a COW view and a flat copy are indistinguishable. Random
+   u8/u64/bytes accesses on a view agree with a flat copy byte for byte
+   and by digest, and leave the base unchanged. Addresses hit three cache
+   slots at four lines each (64 lines apart, so they collide in one
+   slot), lean toward line ends so u64s and byte runs straddle lines, and
+   reach the partial last line. *)
 let prop_cow_equals_flat =
-  let size = 300 in
-  QCheck2.Test.make ~name:"cow view behaves like a flat pool" ~count:200
+  let lines = 3 * Pmem.cache_slots in
+  let size = (lines * Pmem.line_size) + 44 in
+  let gen_addr =
     QCheck2.Gen.(
-      list_size (int_range 1 60)
-        (triple (int_range 0 4) (int_range 0 (size - 1)) (int_range 0 255)))
+      map3
+        (fun slot tier off ->
+           min ((((tier * Pmem.cache_slots) + slot) * Pmem.line_size) + off)
+             (size - 1))
+        (oneofl [ 0; 1; Pmem.cache_slots - 1 ])
+        (int_range 0 3)
+        (oneof [ int_range 0 63; oneofl [ 0; 56; 57; 60; 63 ] ]))
+  in
+  QCheck2.Test.make ~name:"cow view behaves like a flat pool" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (quad (int_range 0 5) gen_addr (int_range 1 80) (int_range 0 255)))
     (fun ops ->
        let base = Pmem.create size in
-       (* non-trivial base contents *)
        for i = 0 to (size / 8) - 1 do
-         Pmem.write_u64 base (i * 8) (i * 0x01010101)
+         Pmem.write_u64 base (i * 8) ((i * 0x9e3779b1) land 0xffffffffff)
        done;
        let before = Pmem.snapshot base in
        let flat = Pmem.of_snapshot before in
        let v = Pmem.cow base in
+       let dirty = Hashtbl.create 16 in
+       let touch addr len =
+         for l = addr lsr 6 to (addr + len - 1) lsr 6 do
+           Hashtbl.replace dirty l ()
+         done
+       in
        let ok = ref true in
        List.iter
-         (fun (kind, addr, value) ->
+         (fun (kind, addr, len, value) ->
+            let a8 = min addr (size - 8) and len = min len (size - addr) in
             match kind with
             | 0 ->
-              let addr = min addr (size - 8) in
-              Pmem.write_u64 flat addr value;
-              Pmem.write_u64 v addr value
+              Pmem.write_u64 flat a8 (value * 0x01010101);
+              Pmem.write_u64 v a8 (value * 0x01010101);
+              touch a8 8
             | 1 ->
               Pmem.write_u8 flat addr value;
-              Pmem.write_u8 v addr value
+              Pmem.write_u8 v addr value;
+              touch addr 1
             | 2 ->
-              (* may straddle a line boundary or hit the partial line *)
-              let s = String.make (min 20 (size - addr)) (Char.chr value) in
+              let s = String.init len (fun i -> Char.chr ((value + i) land 255)) in
               Pmem.write_bytes flat addr s;
-              Pmem.write_bytes v addr s
-            | 3 ->
-              let addr = min addr (size - 8) in
-              ok := !ok && Pmem.read_u64 flat addr = Pmem.read_u64 v addr
+              Pmem.write_bytes v addr s;
+              touch addr len
+            | 3 -> ok := !ok && Pmem.read_u64 flat a8 = Pmem.read_u64 v a8
+            | 4 -> ok := !ok && Pmem.read_u8 flat addr = Pmem.read_u8 v addr
             | _ ->
-              let len = min 20 (size - addr) in
               ok := !ok
                     && Pmem.read_bytes flat addr len = Pmem.read_bytes v addr len)
          ops;
+       (* the overlay digest folds exactly the dirty lines, in line order *)
+       let seed = Pmem.digest base in
+       let want =
+         Hashtbl.fold (fun l () acc -> l :: acc) dirty []
+         |> List.sort compare
+         |> List.fold_left
+              (fun h l ->
+                 let off = l * Pmem.line_size in
+                 let len = min Pmem.line_size (size - off) in
+                 Pmem.mix_string (Pmem.mix h l) (Pmem.read_bytes flat off len))
+              seed
+       in
        !ok
-       && Pmem.snapshot flat = Pmem.snapshot v
+       && Pmem.read_bytes v 0 size = Pmem.snapshot flat
+       && Pmem.snapshot v = Pmem.snapshot flat
+       && Pmem.digest (Pmem.copy v) = Pmem.digest flat
+       && Pmem.digest ~seed v = want
+       && Pmem.overlay_lines v = Hashtbl.length dirty
        && Pmem.snapshot base = before)
+
+(* A zeroed pool reads exactly like [create], and writes through its views
+   stay private: the zero buffer they share is never written. *)
+let test_pmem_zeroed () =
+  let size = (2 * Pmem.cache_slots * Pmem.line_size) + 44 in
+  let fresh = Pmem.snapshot (Pmem.create size) in
+  let a = Pmem.zeroed size and b = Pmem.zeroed size in
+  checkb "is_cow" true (Pmem.is_cow a);
+  checkb "one shared zero buffer" true
+    (match a.repr, b.repr with
+     | Cow x, Cow y -> x.base == y.base
+     | _ -> false);
+  Alcotest.(check string) "reads like create" fresh (Pmem.read_bytes a 0 size);
+  Alcotest.(check string) "snapshot like create" fresh (Pmem.snapshot a);
+  check "no lines copied" 0 (Pmem.overlay_lines a);
+  Pmem.write_u64 a 8 42;
+  Pmem.write_u64 a (8 + (Pmem.cache_slots * Pmem.line_size)) 43;
+  Pmem.write_bytes b 60 "straddle";
+  Pmem.write_u8 b (size - 1) 7;
+  check "a sees its write" 42 (Pmem.read_u64 a 8);
+  check "a sees its colliding write" 43
+    (Pmem.read_u64 a (8 + (Pmem.cache_slots * Pmem.line_size)));
+  check "b does not see a" 0 (Pmem.read_u64 b 8);
+  Alcotest.(check string) "b sees its write" "straddle" (Pmem.read_bytes b 60 8);
+  Alcotest.(check string) "a does not see b" (String.make 8 '\000')
+    (Pmem.read_bytes a 60 8);
+  check "b last byte" 7 (Pmem.read_u8 b (size - 1));
+  Alcotest.(check string) "a new view is still all zero" fresh
+    (Pmem.snapshot (Pmem.zeroed size));
+  (match Pmem.read_u64 a (size - 4) with
+   | _ -> Alcotest.fail "expected fault"
+   | exception Pmem.Fault _ -> ())
 
 (* --- Ctx: tracing, guards, line splitting --- *)
 
@@ -329,6 +397,7 @@ let suite =
     Alcotest.test_case "tv arithmetic taints" `Quick test_tv_arith;
     Alcotest.test_case "pmem bounds + snapshot" `Quick test_pmem;
     Alcotest.test_case "pmem cow view" `Quick test_pmem_cow;
+    Alcotest.test_case "pmem zeroed pool" `Quick test_pmem_zeroed;
     Alcotest.test_case "ctx records dd/cd" `Quick test_ctx_trace;
     Alcotest.test_case "ctx splits at line boundary" `Quick test_ctx_line_split;
     Alcotest.test_case "ctx fuel" `Quick test_ctx_fuel;
