@@ -24,8 +24,12 @@ let () =
   let ops = W.Workload.generate wl in
   let recorded = W.Driver.record (module S) ops in
   let conds = W.Infer.infer recorded.trace in
+  (* replay exactly as the engine does: its fuel ceiling and the
+     recording's per-op budgets *)
+  let fuel = W.Engine.default_cfg.fuel and caps = recorded.caps in
   let checker =
-    W.Equiv.create (module S) ~ops:recorded.ops ~committed:recorded.outputs
+    W.Equiv.create ~fuel ~caps (module S) ~ops:recorded.ops
+      ~committed:recorded.outputs
   in
   let shown = ref 0 in
   let on_image (image : W.Crash_gen.image) =
@@ -58,8 +62,8 @@ let () =
            (W.Output.to_string v.got) (W.Output.to_string v.expect_committed);
          (* re-resume to print full suffix *)
          let got =
-           W.Driver.resume (module S) ~image:pristine ~ops:recorded.ops
-             ~from_op:k ~fuel:3_000_000
+           W.Driver.resume ~caps (module S) ~image:pristine
+             ~ops:recorded.ops ~from_op:k ~fuel
          in
          let n = Array.length recorded.ops in
          for i = 0 to min (n - k - 1) 200 do

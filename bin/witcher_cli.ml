@@ -277,9 +277,11 @@ let run_cmd store fixed ops seed max_images no_lazy_oracle no_memo no_batch
         Option.map (fun t -> { t with W.Traffic.n_ops = ops; seed }) traffic;
       stream_window = max 1 window;
       ckpt_ring = max 1 ckpt_ring;
-      (* the replay fuel must cover a full workload suffix, or every
-         long replay at 100k+ ops turns into a spurious "livelock"
-         verdict; the default is kept at small scale (golden runs) *)
+      (* the per-resume fuel is only a ceiling over a whole replayed
+         suffix (the per-op budgets derived from the recording are the
+         hang detector), so it must cover a full workload suffix, or
+         every long replay at 100k+ ops turns into a spurious
+         "livelock" verdict; the default is kept at small scale *)
       fuel = max W.Engine.default_cfg.fuel (ops * 400);
       (* keep the batch engine's checkpoint count bounded at scale: the
          default 32-op stride would materialize thousands of pool

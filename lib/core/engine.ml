@@ -5,7 +5,10 @@
 type cfg = {
   workload : Workload.cfg;
   crash : Crash_gen.cfg;
-  fuel : int;  (* access budget for resumed executions *)
+  fuel : int;
+      (* access ceiling for one whole resumed execution; the hang
+         detector is the per-op budget derived from the recording
+         (Driver.cap_at), which stops a runaway op long before this *)
   (* Oracle/replay optimizations (DESIGN §5); each independently
      toggleable, all verdict-equivalent to the reference checker. *)
   lazy_oracle : bool;  (* build rolled-back oracles on first divergence *)
@@ -55,6 +58,7 @@ type result = {
   site_pairs : Cluster.report list;
   all_clusters : Cluster.report list;
   per_op_images : (int, int) Hashtbl.t;
+  op_caps : Driver.caps;     (* per-op replay budgets (Driver.cap_at) *)
   replay_ops : int;          (* store ops re-executed across all resumes *)
   replay_early_stops : int;  (* replays the incremental checker cut short *)
   bytes_materialized : int;  (* bytes copied to build crash images *)
@@ -151,7 +155,8 @@ let run ?(cfg = default_cfg) ?(class_memo = fun (_ : string) -> None)
   Obs.Span.add ~name:"stage.infer" ~ts:inf_t0 ~dur:t_infer ();
   let perf = Perf.detect recorded.trace in
   let checker =
-    Equiv.create ~fuel:cfg.fuel ~lazy_oracle:cfg.lazy_oracle ~memo:cfg.memo
+    Equiv.create ~fuel:cfg.fuel ~caps:recorded.caps
+      ~lazy_oracle:cfg.lazy_oracle ~memo:cfg.memo
       ~checkpoints:recorded.checkpoints (module S : Store_intf.S)
       ~ops:recorded.ops ~committed:recorded.outputs
   in
@@ -582,6 +587,7 @@ let run ?(cfg = default_cfg) ?(class_memo = fun (_ : string) -> None)
     site_pairs;
     all_clusters = Cluster.reports clusters;
     per_op_images = stats.per_op_images;
+    op_caps = recorded.caps;
     replay_ops = estats.Equiv.n_replay_ops;
     replay_early_stops = estats.Equiv.n_early_stops;
     bytes_materialized = stats.bytes_materialized;
@@ -679,7 +685,7 @@ let run_stream ?(cfg = default_cfg)
   let trace_a = Nvm.Trace.create ~ring_shift:seg_shift () in
   let conds = Infer.create () in
   let perf_st = Perf.create () in
-  let (outputs, perf), t_record =
+  let (outputs, caps, perf), t_record =
     timed (fun () ->
         let pmem = Nvm.Pmem.create pool_size in
         let ctx = Nvm.Ctx.create ~trace:trace_a ~mode:Nvm.Ctx.Record pmem in
@@ -699,10 +705,12 @@ let run_stream ?(cfg = default_cfg)
             Obs.Metrics.incr ~n:r "stream.window_retirements"
           end
         in
+        let steps = Driver.cap_steps () in
         Nvm.Ctx.op_begin ctx ~index:0 ~desc:"create";
         ev_op 0 "create";
         let store = S.create ctx in
         Nvm.Ctx.op_end ctx ~index:0;
+        Driver.note_op_accesses steps ~index:0 (Nvm.Ctx.op_accesses ctx);
         feed_new ();
         let outputs =
           Array.mapi
@@ -712,13 +720,15 @@ let run_stream ?(cfg = default_cfg)
                ev_op index (Op.desc op);
                let out = S.exec store op in
                Nvm.Ctx.op_end ctx ~index;
+               Driver.note_op_accesses steps ~index
+                 (Nvm.Ctx.op_accesses ctx);
                feed_new ();
                sample index;
                out)
             ops
         in
         Obs.Metrics.incr ~n:n "driver.record_ops";
-        (outputs, Perf.finish perf_st))
+        (outputs, Driver.caps_of_steps steps, Perf.finish perf_st))
   in
   Obs.Span.add ~name:"stage.record" ~ts:rec_t0 ~dur:t_record
     ~attrs:[ ("n_ops", string_of_int n); ("stream", "true") ] ();
@@ -727,8 +737,9 @@ let run_stream ?(cfg = default_cfg)
   let n_loads, n_stores, n_flushes, n_fences = Nvm.Trace.stats trace_a in
   (* ---- shared validation plumbing (mirrors [run]) ---- *)
   let checker =
-    Equiv.create ~fuel:cfg.fuel ~lazy_oracle:cfg.lazy_oracle ~memo:cfg.memo
-      ~checkpoints:[] (module S : Store_intf.S) ~ops ~committed:outputs
+    Equiv.create ~fuel:cfg.fuel ~caps ~lazy_oracle:cfg.lazy_oracle
+      ~memo:cfg.memo ~checkpoints:[] (module S : Store_intf.S) ~ops
+      ~committed:outputs
   in
   (* The batch checker reads store ranges off the trace of whichever
      validation pass is live; tids are pass-invariant. *)
@@ -1190,6 +1201,7 @@ let run_stream ?(cfg = default_cfg)
     site_pairs;
     all_clusters = Cluster.reports clusters;
     per_op_images = stats.per_op_images;
+    op_caps = caps;
     replay_ops = estats.Equiv.n_replay_ops;
     replay_early_stops = estats.Equiv.n_early_stops;
     bytes_materialized = stats.bytes_materialized;

@@ -92,7 +92,8 @@ type t = {
   ops : Op.t array;
   committed : Output.t array;   (* outputs of ops.(i), trace index i+1 *)
   rolled_back : (int, Output.t array) Hashtbl.t;  (* crash op -> oracle *)
-  fuel : int;
+  fuel : int;                   (* access ceiling per resume *)
+  caps : Driver.caps;           (* per-op replay budgets, Driver.cap_at *)
   lazy_oracle : bool;           (* defer the oracle to first divergence *)
   memo_on : bool;               (* digest-keyed verdict memoization *)
   mutable checkpoints : (int * Nvm.Pmem.t) array;  (* record snapshots, ascending *)
@@ -102,14 +103,16 @@ type t = {
   stats : stats;
 }
 
-let create ?(fuel = 3_000_000) ?(lazy_oracle = true) ?(memo = true)
-    ?(checkpoints = []) store ~ops ~committed =
+(* [caps] are the recording's per-op replay budgets ([recorded.caps]);
+   without them only the per-resume [fuel] bounds a runaway replay. *)
+let create ?(fuel = 3_000_000) ?(caps = [||]) ?(lazy_oracle = true)
+    ?(memo = true) ?(checkpoints = []) store ~ops ~committed =
   let checkpoints =
     let a = Array.of_list checkpoints in
     Array.sort (fun (i, _) (j, _) -> compare i j) a;
     a
   in
-  { store; ops; committed; rolled_back = Hashtbl.create 64; fuel;
+  { store; ops; committed; rolled_back = Hashtbl.create 64; fuel; caps;
     lazy_oracle; memo_on = memo; checkpoints;
     memo = Hashtbl.create 256; elided = Hashtbl.create 64; batch = None;
     stats = { n_checks = 0; n_replay_ops = 0; n_early_stops = 0;
@@ -357,8 +360,8 @@ let check_replay ?read_track t ~img ~crash_op =
       else `Continue
   in
   let executed =
-    Driver.resume_stream ?read_track t.store ~image:img ~ops:t.ops ~from_op:k
-      ~fuel:t.fuel ~on_output
+    Driver.resume_stream ?read_track ~caps:t.caps t.store ~image:img
+      ~ops:t.ops ~from_op:k ~fuel:t.fuel ~on_output
   in
   t.stats.n_replay_ops <- t.stats.n_replay_ops + executed;
   Obs.Metrics.incr "equiv.checks";

@@ -16,11 +16,17 @@
    only the int.
 
    [fuel] bounds the number of accesses: resuming from a corrupted crash
-   image can loop forever (e.g. a B+tree whose root points to a sibling);
-   running dry raises [Fuel_exhausted], which the driver reports as a
-   visible crash, itself an output divergence. *)
+   image can loop forever (e.g. a B+tree whose root points to a sibling).
+   An access attempted with no fuel left raises [Fuel_exhausted] carrying
+   its site, which the driver reports as a visible crash, itself an
+   output divergence. The fuel a context is created with is only a
+   ceiling; the hang detector proper is the per-operation budget the
+   driver re-arms with [set_fuel] before recovery and before each
+   replayed op (Driver.cap_at), a bounded multiple of the work the
+   recording needed. [op_accesses] reads back what the current op has
+   burned, which is how the recording measures that work. *)
 
-exception Fuel_exhausted
+exception Fuel_exhausted of string  (* site of the access that ran dry *)
 
 type mode = Record | Quiet
 
@@ -33,7 +39,9 @@ type t = {
   mutable op_cd : Taint.t;     (* pointer-chase guards, cleared per op *)
   mutable cd : Taint.t;        (* cached union of cd_stack + op_cd *)
   mutable op : int;
-  mutable fuel : int;
+  mutable fuel : int;          (* accesses left before [Fuel_exhausted] *)
+  mutable op_fuel : int;       (* [fuel] at the last [op_begin] *)
+  mutable dry_site : string;   (* first access refused since [set_fuel] *)
   mutable tx_counter : int;
   mutable rtrack : Wset.t option;
       (* when set, every successful NVM read logs its word range; used by
@@ -57,8 +65,8 @@ let create ?(boxed = false) ?(fuel = 100_000_000) ?trace ?events_hint
     | None, Record -> Trace.create ~boxed ?events_hint ()
   in
   { pmem; mode; trace; taints = not taintless; cd_stack = [];
-    op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; tx_counter = 0;
-    rtrack = None }
+    op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; op_fuel = fuel;
+    dry_site = ""; tx_counter = 0; rtrack = None }
 
 let set_read_track t w = t.rtrack <- w
 
@@ -70,17 +78,32 @@ let trace t = t.trace
 let mode t = t.mode
 let current_op t = t.op
 let fuel t = t.fuel
+let set_fuel t n =
+  t.fuel <- n;
+  t.dry_site <- ""
 
-let burn t =
-  t.fuel <- t.fuel - 1;
-  if t.fuel <= 0 then raise Fuel_exhausted
+(* Accesses burned since the last [op_begin]. *)
+let op_accesses t = t.op_fuel - t.fuel
+
+(* The site named by [Fuel_exhausted] is the first one refused: cleanup
+   code that runs while the exception unwinds (a transaction's abort
+   handler) is refused too, and must not take the blame. *)
+let run_dry t sid =
+  if t.dry_site = "" then t.dry_site <- sid;
+  raise (Fuel_exhausted t.dry_site)
+
+(* Every access costs one unit: a budget of [n] admits exactly [n]
+   accesses, so the fuel consumed is the accesses executed. *)
+let[@inline] burn t sid =
+  if t.fuel <= 0 then run_dry t sid;
+  t.fuel <- t.fuel - 1
 
 let recording t = t.mode = Record
 
 (* Reads *)
 
 let read_u64 t ~sid addr =
-  burn t;
+  burn t sid;
   let v = Pmem.read_u64 t.pmem addr in
   track t addr 8;
   if recording t then begin
@@ -93,7 +116,7 @@ let read_u64 t ~sid addr =
   else Tv.const v
 
 let read_u8 t ~sid addr =
-  burn t;
+  burn t sid;
   let v = Pmem.read_u8 t.pmem addr in
   track t addr 1;
   if recording t then begin
@@ -106,7 +129,7 @@ let read_u8 t ~sid addr =
   else Tv.const v
 
 let read_bytes t ~sid addr len =
-  burn t;
+  burn t sid;
   let s = Pmem.read_bytes t.pmem addr len in
   track t addr len;
   if recording t then begin
@@ -136,7 +159,7 @@ let emit_store t ~sid addr data dd =
   go addr 0
 
 let write_u64 t ~sid addr tv =
-  burn t;
+  burn t sid;
   Pmem.write_u64 t.pmem addr (Tv.value tv);
   if recording t then begin
     if addr land (Pmem.line_size - 1) <= Pmem.line_size - 8 then
@@ -152,7 +175,7 @@ let write_u64 t ~sid addr tv =
   end
 
 let write_u8 t ~sid addr tv =
-  burn t;
+  burn t sid;
   Pmem.write_u8 t.pmem addr (Tv.value tv);
   if recording t then
     emit_store t ~sid addr
@@ -160,7 +183,7 @@ let write_u8 t ~sid addr tv =
       (Tv.taint tv)
 
 let write_bytes t ~sid addr blob =
-  burn t;
+  burn t sid;
   let s = Tv.blob_value blob in
   Pmem.write_bytes t.pmem addr s;
   if recording t then emit_store t ~sid addr s (Tv.blob_taint blob)
@@ -168,7 +191,7 @@ let write_bytes t ~sid addr blob =
 (* Persistence primitives *)
 
 let flush t ~sid addr =
-  burn t;
+  burn t sid;
   if recording t then
     ignore
       (Trace.add_flush t.trace ~sid:(Sid.intern sid)
@@ -184,7 +207,7 @@ let flush_range t ~sid addr len =
   end
 
 let fence t ~sid =
-  burn t;
+  burn t sid;
   if recording t then
     ignore (Trace.add_fence t.trace ~sid:(Sid.intern sid) ~op:t.op)
 
@@ -243,7 +266,7 @@ let pop_guard t =
    address-level data dependencies surface (e.g. "the table pointer is a
    guardian of the rehashed slots"). Cleared at op boundaries. *)
 let read_ptr t ~sid addr =
-  burn t;
+  burn t sid;
   let v = Pmem.read_u64 t.pmem addr in
   track t addr 8;
   if recording t then begin
@@ -280,6 +303,7 @@ let when_ t cond f =
 
 let op_begin t ~index ~desc =
   t.op <- index;
+  t.op_fuel <- t.fuel;
   t.op_cd <- Taint.empty;
   t.cd <- Taint.union_list t.cd_stack;
   if recording t then

@@ -87,9 +87,10 @@ let test_rolled_back_oracle () =
   Alcotest.(check string) "query 1 rolled back" "notfound"
     (W.Output.to_string rb.(0))
 
-(* Replay counters: a resume adds the accesses it burned to
-   [driver.replay_accesses] once, and one that runs dry counts in
-   [driver.fuel_exhausted]. *)
+(* Replay counters: a resume adds the accesses it executed to
+   [driver.replay_accesses] once, and one that runs dry — on its whole
+   fuel or on one op's budget — counts in [driver.fuel_exhausted] and
+   names the site that ran dry. *)
 let test_replay_counters () =
   let e = Option.get (R.find "level-hash") in
   let module S = (val e.fixed ()) in
@@ -112,12 +113,193 @@ let test_replay_counters () =
     W.Driver.resume (module S) ~image:(image ()) ~ops:r.ops ~from_op:1
       ~fuel:5
   in
-  Alcotest.(check string) "runs dry" "CRASHED:livelock"
+  Alcotest.(check string) "runs dry" "CRASHED:livelock@lh:table.n"
     (W.Output.to_string out.(0));
   Alcotest.(check int) "whole fuel counted" (burned + 5)
     (counter "driver.replay_accesses");
   Alcotest.(check int) "livelock counted" 1 (counter "driver.fuel_exhausted");
-  Alcotest.(check int) "two resumes" 2 (counter "driver.resumes")
+  Alcotest.(check int) "two resumes" 2 (counter "driver.resumes");
+  (* The recording's own budgets never stop a faithful replay. *)
+  let total () = counter "driver.replay_accesses" in
+  let before = total () in
+  let out =
+    W.Driver.resume ~caps:r.caps (module S) ~image:(image ()) ~ops:r.ops
+      ~from_op:1 ~fuel:1_000_000
+  in
+  Alcotest.(check string) "capped replay ok" "found:aaa"
+    (W.Output.to_string out.(0));
+  Alcotest.(check int) "same accesses under the caps" burned
+    (total () - before);
+  (* A per-op budget stops one op (trace index 2) and still counts
+     exactly the accesses executed: recovery's, plus the op's budget. *)
+  let capped_at budget =
+    let before = total () in
+    let out =
+      W.Driver.resume
+        ~caps:[| (2, budget); (3, max_int) |]
+        (module S) ~image:(image ()) ~ops:r.ops ~from_op:1 ~fuel:1_000_000
+    in
+    (W.Output.to_string out.(0), total () - before)
+  in
+  let msg0, recovery = capped_at 0 in
+  let msg3, spent = capped_at 3 in
+  Alcotest.(check string) "refused at the op's first access"
+    "CRASHED:livelock@pmdk:root" msg0;
+  Alcotest.(check bool) ("op cap fires: " ^ msg3) true
+    (String.starts_with ~prefix:"CRASHED:livelock@" msg3);
+  Alcotest.(check int) "capped op counts its budget" (recovery + 3) spent;
+  Alcotest.(check int) "op livelocks counted" 3
+    (counter "driver.fuel_exhausted")
+
+(* The budgets are [cap_factor] x the largest op recorded so far, never
+   below [cap_floor], kept as the few steps where that rises. *)
+let test_budget_steps () =
+  let accesses = [| 40; 2_000; 100; 1_500; 3_000; 10 |] in
+  let steps = W.Driver.cap_steps () in
+  Array.iteri
+    (fun index a -> W.Driver.note_op_accesses steps ~index a)
+    accesses;
+  let caps = W.Driver.caps_of_steps steps in
+  let peak = ref 0 in
+  Array.iteri
+    (fun j a ->
+       peak := max !peak a;
+       Alcotest.(check int) (Printf.sprintf "cap %d" j)
+         (max W.Driver.cap_floor (W.Driver.cap_factor * !peak))
+         (W.Driver.cap_at caps j))
+    accesses;
+  Alcotest.(check int) "one step per rise" 3 (Array.length caps);
+  Alcotest.(check int) "past the last op" (W.Driver.cap_factor * 3_000)
+    (W.Driver.cap_at caps 100);
+  Alcotest.(check int) "no budgets" max_int (W.Driver.cap_at [||] 3)
+
+(* The per-op replay budgets are a hang detector, so they may only cut
+   short replays that were going to crash anyway. Run the engine's
+   checker (recorded budgets, checkpoints, memo, fence batching) over
+   every image of a 200-op workload on the stores whose runaway replays
+   the budgets stop, and re-check each image whose replay ran out of
+   budget with a checker that has only the flat per-resume fuel. Both
+   must find the image inconsistent, the capped one by a visible crash.
+   They agree on the first diverging op and the oracle outputs there,
+   unless the flat replay completes the op the budget stopped: then that
+   op really did more than its budget's work (measured here by stopping
+   a flat replay just before and just after it), and the flat verdict
+   diverges only later. b-tree seed 5 has such images: a delete whose
+   corrupted entry count shifts 262k entries, about 1M accesses for an
+   op the recording ran in under 400, ends without a fault and the flat
+   replay diverges at the next op. *)
+let test_capped_livelocks_match_flat () =
+  let fuel = W.Engine.default_cfg.fuel in
+  let counter name =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot Obs.Metrics.default) name
+  in
+  List.iter
+    (fun name ->
+       let e = Option.get (R.find name) in
+       let module S = (val e.buggy ()) in
+       let fired = ref 0 in
+       List.iter
+         (fun seed ->
+            let wl = { W.Workload.default with n_ops = 200; seed } in
+            let wl = if S.supports_scan then wl else W.Workload.no_scan wl in
+            let r =
+              W.Driver.record ~ckpt_stride:W.Engine.default_cfg.ckpt_stride
+                (module S) (W.Workload.generate wl)
+            in
+            let capped =
+              W.Equiv.create ~fuel ~caps:r.caps ~checkpoints:r.checkpoints
+                (module S) ~ops:r.ops ~committed:r.outputs
+            in
+            W.Equiv.enable_batch capped ~addr_len:(fun tid ->
+                (Nvm.Trace.addr_at r.trace tid, Nvm.Trace.len_at r.trace tid));
+            let flat =
+              W.Equiv.create ~fuel ~checkpoints:r.checkpoints ~memo:false
+                (module S) ~ops:r.ops ~committed:r.outputs
+            in
+            (* accesses a flat replay of [pool] from [k] executes before
+               trace op [j] starts, or through its end *)
+            let flat_work pool k j ~through =
+              let before = counter "driver.replay_accesses" in
+              let caps = if through then [||] else [| (j, 0) |] in
+              ignore
+                (W.Driver.resume_stream ~caps (module S)
+                   ~image:(Nvm.Pmem.copy pool) ~ops:r.ops ~from_op:k ~fuel
+                   ~on_output:(fun i _ ->
+                       if k + i + 1 >= j then `Stop else `Continue));
+              counter "driver.replay_accesses" - before
+            in
+            ignore
+              (W.Crash_gen.generate ~trace:r.trace
+                 ~conds:(W.Infer.infer r.trace) ~pool_size:r.pool_size
+                 ~on_image:(fun (img : W.Crash_gen.image) ->
+                     let k = img.crash_op in
+                     let where =
+                       Printf.sprintf "%s seed %d crash op %d" name seed k
+                     in
+                     let pristine = Nvm.Pmem.copy img.img in
+                     let dry = counter "driver.fuel_exhausted" in
+                     let v =
+                       W.Equiv.check ~digest:img.digest ~fence:img.crash_tid
+                         ~extras:img.extras capped ~img:img.img ~crash_op:k
+                     in
+                     if counter "driver.fuel_exhausted" > dry then begin
+                       incr fired;
+                       match
+                         v, W.Equiv.check flat ~img:(Nvm.Pmem.copy pristine)
+                              ~crash_op:k
+                       with
+                       | W.Equiv.Inconsistent a, W.Equiv.Inconsistent b ->
+                         Alcotest.(check bool) (where ^ ": crashed") true
+                           a.crashed;
+                         if a.first_diff = b.first_diff then
+                           Alcotest.(check bool) (where ^ ": oracle outputs")
+                             true
+                             (W.Output.equal a.expect_committed
+                                b.expect_committed
+                              && W.Output.equal a.expect_rolled_back
+                                   b.expect_rolled_back)
+                         else begin
+                           let j = a.first_diff in
+                           Alcotest.(check bool)
+                             (where ^ ": budget stops before the divergence")
+                             true (j < b.first_diff);
+                           Alcotest.(check bool)
+                             (where ^ ": stopped op livelocks") true
+                             (String.starts_with ~prefix:"CRASHED:livelock@"
+                                (W.Output.to_string a.got));
+                           let work =
+                             flat_work pristine k j ~through:true
+                             - flat_work pristine k j ~through:false
+                           in
+                           let cap = W.Driver.cap_at r.caps j in
+                           Alcotest.(check bool)
+                             (Printf.sprintf "%s: op %d did %d > %d accesses"
+                                where j work cap)
+                             true (work > cap)
+                         end
+                       | _ ->
+                         Alcotest.failf "%s: verdict flips" where
+                     end;
+                     `Continue)
+                 ()))
+         [ 5; 93 ];
+       Alcotest.(check bool) (name ^ ": budgets fired") true (!fired > 0))
+    [ "b-tree"; "rb-tree"; "p-masstree"; "hashmap-tx" ]
+
+(* At scale the budgets grow with the recording: level-hash's resize work
+   grows with its table (its largest op at 2,000 ops is about eight times
+   the largest at 200), and no replay of the full 2,000-op pipeline may
+   run out of budget. *)
+let test_level_hash_budgets_scale () =
+  let r = W.Engine.run ~cfg:(cfg ~n_ops:2000) (Stores.Level_hash.buggy ()) in
+  let counter name =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot Obs.Metrics.default) name
+  in
+  Alcotest.(check bool) "replays ran" true (counter "driver.resumes" > 0);
+  Alcotest.(check int) "no replay ran out of budget" 0
+    (counter "driver.fuel_exhausted");
+  Alcotest.(check bool) "budgets scaled past the floor" true
+    (W.Driver.cap_at r.op_caps 2000 > W.Driver.cap_floor)
 
 (* Workload generation: deterministic, biased toward used keys. *)
 let test_workload_determinism () =
@@ -260,7 +442,8 @@ let test_streaming_matches_reference () =
   let conds = W.Infer.infer r.trace in
   let fuel = W.Engine.default_cfg.fuel in
   let checker =
-    W.Equiv.create ~fuel (module S) ~ops:r.ops ~committed:r.outputs
+    W.Equiv.create ~fuel ~caps:r.caps (module S) ~ops:r.ops
+      ~committed:r.outputs
   in
   let n = ref 0 and n_bad = ref 0 in
   ignore
@@ -271,8 +454,8 @@ let test_streaming_matches_reference () =
            let k = img.crash_op in
            (* reference: full replay from a detached flat copy *)
            let got =
-             W.Driver.resume (module S) ~image:(Nvm.Pmem.copy img.img)
-               ~ops:r.ops ~from_op:k ~fuel
+             W.Driver.resume ~caps:r.caps (module S)
+               ~image:(Nvm.Pmem.copy img.img) ~ops:r.ops ~from_op:k ~fuel
            in
            let rb = W.Equiv.rolled_back_oracle checker k in
            let reference =
@@ -317,12 +500,13 @@ let prop_optimized_checker_parity =
             let conds = W.Infer.infer rec_.trace in
             let fuel = W.Engine.default_cfg.fuel in
             let opt =
-              W.Equiv.create ~fuel ~checkpoints:rec_.checkpoints (module S)
-                ~ops:rec_.ops ~committed:rec_.outputs
+              W.Equiv.create ~fuel ~caps:rec_.caps
+                ~checkpoints:rec_.checkpoints (module S) ~ops:rec_.ops
+                ~committed:rec_.outputs
             in
             let plain =
-              W.Equiv.create ~fuel ~lazy_oracle:false ~memo:false (module S)
-                ~ops:rec_.ops ~committed:rec_.outputs
+              W.Equiv.create ~fuel ~caps:rec_.caps ~lazy_oracle:false
+                ~memo:false (module S) ~ops:rec_.ops ~committed:rec_.outputs
             in
             let ok = ref true in
             ignore
@@ -332,7 +516,7 @@ let prop_optimized_checker_parity =
                  ~on_image:(fun (img : W.Crash_gen.image) ->
                      let k = img.crash_op in
                      let got =
-                       W.Driver.resume (module S)
+                       W.Driver.resume ~caps:rec_.caps (module S)
                          ~image:(Nvm.Pmem.copy img.img) ~ops:rec_.ops
                          ~from_op:k ~fuel
                      in
@@ -388,12 +572,13 @@ let prop_batched_checker_parity =
             let conds = W.Infer.infer rec_.trace in
             let fuel = W.Engine.default_cfg.fuel in
             let plain =
-              W.Equiv.create ~fuel ~lazy_oracle:false ~memo:false (module S)
-                ~ops:rec_.ops ~committed:rec_.outputs
+              W.Equiv.create ~fuel ~caps:rec_.caps ~lazy_oracle:false
+                ~memo:false (module S) ~ops:rec_.ops ~committed:rec_.outputs
             in
             let batched =
-              W.Equiv.create ~fuel ~checkpoints:rec_.checkpoints (module S)
-                ~ops:rec_.ops ~committed:rec_.outputs
+              W.Equiv.create ~fuel ~caps:rec_.caps
+                ~checkpoints:rec_.checkpoints (module S) ~ops:rec_.ops
+                ~committed:rec_.outputs
             in
             W.Equiv.enable_batch batched ~addr_len:(fun tid ->
                 ( Nvm.Trace.addr_at rec_.trace tid,
@@ -406,7 +591,7 @@ let prop_batched_checker_parity =
                  ~on_image:(fun (img : W.Crash_gen.image) ->
                      let k = img.crash_op in
                      let got =
-                       W.Driver.resume (module S)
+                       W.Driver.resume ~caps:rec_.caps (module S)
                          ~image:(Nvm.Pmem.copy img.img) ~ops:rec_.ops
                          ~from_op:k ~fuel
                      in
@@ -590,6 +775,12 @@ let suite =
       Alcotest.test_case "hashmap-tx UAF" `Slow test_uaf_detected;
       Alcotest.test_case "rolled-back oracle" `Quick test_rolled_back_oracle;
       Alcotest.test_case "replay counters" `Quick test_replay_counters;
+      Alcotest.test_case "replay budgets follow the recording" `Quick
+        test_budget_steps;
+      Alcotest.test_case "budget livelocks = flat-fuel verdicts" `Slow
+        test_capped_livelocks_match_flat;
+      Alcotest.test_case "level-hash budgets scale (2000 ops)" `Slow
+        test_level_hash_budgets_scale;
       Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
       Alcotest.test_case "workload key bias" `Quick test_workload_bias;
       Alcotest.test_case "output equality" `Quick test_output_equal;

@@ -242,14 +242,19 @@ let test_ctx_line_split () =
      check "second addr" 64 b.s_addr
    | _ -> Alcotest.fail "stores expected")
 
+(* A budget of n admits exactly n accesses; the next one raises with its
+   site, and [set_fuel] re-arms the context. *)
 let test_ctx_fuel () =
   let p = Pmem.create 1024 in
   let ctx = Ctx.create ~mode:Quiet ~fuel:10 p in
-  match
-    for _ = 1 to 20 do ignore (Ctx.read_u64 ctx ~sid:"x" 0) done
-  with
-  | () -> Alcotest.fail "expected fuel exhaustion"
-  | exception Ctx.Fuel_exhausted -> ()
+  for _ = 1 to 10 do ignore (Ctx.read_u64 ctx ~sid:"x" 0) done;
+  (match Ctx.write_u64 ctx ~sid:"y" 0 (Tv.const 1) with
+   | () -> Alcotest.fail "expected fuel exhaustion"
+   | exception Ctx.Fuel_exhausted site ->
+     Alcotest.(check string) "site that ran dry" "y" site);
+  Ctx.set_fuel ctx 1;
+  ignore (Ctx.read_u64 ctx ~sid:"x" 0);
+  Alcotest.(check int) "re-armed budget spent" 0 (Ctx.fuel ctx)
 
 (* --- Crash_sim: flush/fence semantics --- *)
 

@@ -40,6 +40,8 @@ let check_parity ~prune ~seed ~n_ops (e : R.entry) =
   let stream = W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()) in
   if not stream.stream_on then
     Alcotest.failf "%s: run_stream did not mark stream_on" e.name;
+  if batch.op_caps <> stream.op_caps then
+    Alcotest.failf "%s seed=%d n=%d: replay budgets differ" e.name seed n_ops;
   if fingerprint batch <> fingerprint stream then
     Alcotest.failf
       "%s seed=%d n=%d %s: stream/batch divergence \
@@ -86,6 +88,32 @@ let test_sample_policy_parity () =
   let e = List.find (fun (e : R.entry) -> e.R.name = "cceh") R.all in
   ignore
     (check_parity ~prune:(Prune.Policy.Sample 7) ~seed:3 ~n_ops:100 e)
+
+(* Both engines derive the per-op replay budgets from their recording
+   pass: [Driver.record] and [run_stream]'s ingest pass must measure the
+   same per-op work and so arm every replay identically. Level-hash at
+   200 ops resizes, so the budgets step above the floor mid-run. *)
+let test_stream_caps_parity () =
+  let e = List.find (fun (e : R.entry) -> e.R.name = "level-hash") R.all in
+  let c =
+    { (cfg ~prune:Prune.Policy.Exhaustive ~seed:93 ~n_ops:200) with
+      W.Engine.crash = { W.Crash_gen.default_cfg with max_images = 40 } }
+  in
+  let batch = W.Engine.run ~cfg:c (e.buggy ()) in
+  let stream = W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()) in
+  let caps = batch.op_caps in
+  Alcotest.(check (array (pair int int))) "run = run_stream" caps
+    stream.op_caps;
+  Alcotest.(check int) "first step at creation" 0 (fst caps.(0));
+  Alcotest.(check bool) "steps rise strictly" true
+    (snd
+       (Array.fold_left
+          (fun ((j0, c0), ok) (j, c) -> ((j, c), ok && j > j0 && c > c0))
+          ((-1, 0), true) caps));
+  Alcotest.(check bool) "at least the floor" true
+    (snd caps.(0) >= W.Driver.cap_floor);
+  Alcotest.(check bool) "scaled past the floor" true
+    (W.Driver.cap_at caps 200 > W.Driver.cap_floor)
 
 (* Traffic-driven parity: the generator path (zipfian keys, preload,
    bursts) through both engines. *)
@@ -176,4 +204,6 @@ let suite =
     Alcotest.test_case "streaming counters move" `Slow test_stream_counters;
     Alcotest.test_case "sample-policy parity" `Slow test_sample_policy_parity;
     Alcotest.test_case "traffic generator parity" `Slow test_traffic_parity;
+    Alcotest.test_case "run and run_stream derive equal replay budgets" `Quick
+      test_stream_caps_parity;
     QCheck_alcotest.to_alcotest parity_prop ]
